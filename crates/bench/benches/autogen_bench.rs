@@ -8,7 +8,7 @@ use wse_model::{AutogenSolver, Machine};
 fn bench_solver_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("autogen/dp_construction");
     group.sample_size(10);
-    for p in [32u64, 64, 128] {
+    for p in [32u64, 64, 128, 256, 512] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |bencher, &p| {
             bencher.iter(|| black_box(AutogenSolver::new(black_box(p))))
         });

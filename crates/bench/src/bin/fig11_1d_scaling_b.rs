@@ -13,7 +13,6 @@ use wse_model::{costs_1d, sweep};
 fn main() {
     let opts = HarnessOptions::from_args();
     let machine = Machine::wse2();
-    let mut cache = SolverCache::default();
     let p: u32 = 512;
     let vector_bytes = sweep::figure11_vector_bytes();
 
@@ -64,7 +63,7 @@ fn main() {
         let mut cells = Vec::new();
         for &bytes in &vector_bytes {
             let b = sweep::bytes_to_wavelets(bytes) as u32;
-            let cell = reduce_1d_cell(pattern, p, b, &opts, &machine, &mut cache);
+            let cell = reduce_1d_cell(pattern, p, b, &opts, &machine);
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),
                 None => "-".to_string(),
@@ -114,7 +113,6 @@ fn main() {
                 b,
                 &opts,
                 &machine,
-                &mut cache,
             );
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),

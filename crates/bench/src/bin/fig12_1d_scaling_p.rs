@@ -9,7 +9,6 @@ use wse_model::{costs_1d, sweep};
 fn main() {
     let opts = HarnessOptions::from_args();
     let machine = Machine::wse2();
-    let mut cache = SolverCache::default();
     let b = sweep::bytes_to_wavelets(sweep::FIXED_VECTOR_BYTES) as u32;
     let pe_counts = sweep::figure12_pe_counts();
 
@@ -58,7 +57,7 @@ fn main() {
         let mut measured_row = vec![format!("measured {} (us)", pattern.name())];
         let mut predicted_row = vec![format!("predicted {} (us)", pattern.name())];
         for (i, &p) in pe_counts.iter().enumerate() {
-            let cell = reduce_1d_cell(pattern, p as u32, b, &opts, &machine, &mut cache);
+            let cell = reduce_1d_cell(pattern, p as u32, b, &opts, &machine);
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),
                 None => "-".to_string(),
@@ -102,7 +101,6 @@ fn main() {
                 b,
                 &opts,
                 &machine,
-                &mut cache,
             );
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),
@@ -118,8 +116,7 @@ fn main() {
     let mut ring_measured = vec!["measured Ring (us)".to_string()];
     let mut ring_predicted = vec!["predicted Ring (us)".to_string()];
     for &p in &pe_counts {
-        let cell =
-            allreduce_1d_cell(AllReducePattern::Ring, p as u32, b, &opts, &machine, &mut cache);
+        let cell = allreduce_1d_cell(AllReducePattern::Ring, p as u32, b, &opts, &machine);
         ring_measured.push(match cell.measured_cycles {
             Some(m) => format!("{:.3}", cycles_to_us(m)),
             None => "-".to_string(),

@@ -28,7 +28,6 @@ fn patterns() -> Vec<Reduce2dPattern> {
 fn main() {
     let opts = HarnessOptions::from_args();
     let machine = Machine::wse2();
-    let mut cache = SolverCache::default();
     let vector_bytes = sweep::figure11_vector_bytes();
     let side: u32 = 512;
 
@@ -45,7 +44,7 @@ fn main() {
         let mut predicted_row = vec![format!("predicted {} (us)", pattern.name())];
         for &bytes in &vector_bytes {
             let b = sweep::bytes_to_wavelets(bytes) as u32;
-            let cell = reduce_2d_cell(pattern, side, b, &opts, &machine, &mut cache);
+            let cell = reduce_2d_cell(pattern, side, b, &opts, &machine);
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),
                 None => "-".to_string(),
@@ -78,7 +77,7 @@ fn main() {
         let mut predicted_row = vec![format!("predicted {}+2D-Bcast (us)", pattern.name())];
         for &bytes in &vector_bytes {
             let b = sweep::bytes_to_wavelets(bytes) as u32;
-            let cell = allreduce_2d_cell(pattern, side, b, &opts, &machine, &mut cache);
+            let cell = allreduce_2d_cell(pattern, side, b, &opts, &machine);
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),
                 None => "-".to_string(),
@@ -131,7 +130,7 @@ fn main() {
         let mut measured_row = vec![format!("measured {} (us)", pattern.name())];
         let mut predicted_row = vec![format!("predicted {} (us)", pattern.name())];
         for &s in &sides {
-            let cell = reduce_2d_cell(pattern, s as u32, b, &opts, &machine, &mut cache);
+            let cell = reduce_2d_cell(pattern, s as u32, b, &opts, &machine);
             measured_row.push(match cell.measured_cycles {
                 Some(m) => format!("{:.3}", cycles_to_us(m)),
                 None => "-".to_string(),

@@ -175,21 +175,6 @@ where
         .collect()
 }
 
-/// A cache of Auto-Gen solvers keyed by PE count (building the DP for 512
-/// PEs is the most expensive part of a sweep and is reused across vector
-/// lengths).
-#[derive(Default)]
-pub struct SolverCache {
-    solvers: std::collections::HashMap<u64, wse_model::AutogenSolver>,
-}
-
-impl SolverCache {
-    /// Get (or build) the solver for `p` PEs.
-    pub fn get(&mut self, p: u64) -> &wse_model::AutogenSolver {
-        self.solvers.entry(p).or_insert_with(|| wse_model::AutogenSolver::new(p))
-    }
-}
-
 /// Measured + predicted runtime of a 1D Broadcast on `p` PEs.
 pub fn broadcast_1d_cell(p: u32, b: u32, opts: &HarnessOptions, machine: &Machine) -> Cell {
     let predicted = wse_model::costs_1d::broadcast(p as u64, b as u64).predict(machine);
@@ -212,11 +197,10 @@ pub fn reduce_1d_cell(
     b: u32,
     opts: &HarnessOptions,
     machine: &Machine,
-    cache: &mut SolverCache,
 ) -> Cell {
-    let predicted = predict_reduce_1d(pattern, p, b, machine, cache);
+    let predicted = predict_reduce_1d(pattern, p, b, machine);
     let measured = if opts.within_budget(predicted, p as u64) {
-        let plan = build_reduce_1d_plan(pattern, p, b, machine, cache);
+        let plan = reduce_1d_plan(pattern, p, b, ReduceOp::Sum, machine);
         Some(simulate_plan(&plan, ReduceOp::Sum) as f64)
     } else {
         None
@@ -231,11 +215,10 @@ pub fn allreduce_1d_cell(
     b: u32,
     opts: &HarnessOptions,
     machine: &Machine,
-    cache: &mut SolverCache,
 ) -> Cell {
     let predicted = match pattern {
         AllReducePattern::ReduceBroadcast(inner) => wse_model::costs_1d::reduce_then_broadcast(
-            predict_reduce_1d(inner, p, b, machine, cache),
+            predict_reduce_1d(inner, p, b, machine),
             p as u64,
             b as u64,
             machine,
@@ -275,9 +258,8 @@ pub fn reduce_2d_cell(
     b: u32,
     opts: &HarnessOptions,
     machine: &Machine,
-    cache: &mut SolverCache,
 ) -> Cell {
-    let predicted = predict_reduce_2d(pattern, side, b, machine, cache);
+    let predicted = predict_reduce_2d(pattern, side, b, machine);
     let pes = side as u64 * side as u64;
     let measured = if opts.within_budget(predicted, pes) {
         let dim = GridDim::new(side, side);
@@ -296,9 +278,8 @@ pub fn allreduce_2d_cell(
     b: u32,
     opts: &HarnessOptions,
     machine: &Machine,
-    cache: &mut SolverCache,
 ) -> Cell {
-    let reduce_predicted = predict_reduce_2d(pattern, side, b, machine, cache);
+    let reduce_predicted = predict_reduce_2d(pattern, side, b, machine);
     let predicted = wse_model::costs_2d::reduce_then_broadcast_2d(
         reduce_predicted,
         side as u64,
@@ -318,58 +299,17 @@ pub fn allreduce_2d_cell(
 }
 
 /// Model prediction for a 1D Reduce pattern (cycles).
-pub fn predict_reduce_1d(
-    pattern: ReducePattern,
-    p: u32,
-    b: u32,
-    machine: &Machine,
-    cache: &mut SolverCache,
-) -> f64 {
-    use wse_model::Reduce1dAlgorithm;
-    let alg = pattern.model_algorithm();
-    if alg == Reduce1dAlgorithm::AutoGen {
-        alg.cycles(p as u64, b as u64, machine, Some(cache.get(p as u64)))
-    } else {
-        alg.cycles(p as u64, b as u64, machine, None)
-    }
+pub fn predict_reduce_1d(pattern: ReducePattern, p: u32, b: u32, machine: &Machine) -> f64 {
+    pattern.model_algorithm().cycles(p as u64, b as u64, machine, None)
 }
 
 /// Model prediction for a 2D Reduce pattern (cycles).
-pub fn predict_reduce_2d(
-    pattern: Reduce2dPattern,
-    side: u32,
-    b: u32,
-    machine: &Machine,
-    cache: &mut SolverCache,
-) -> f64 {
+pub fn predict_reduce_2d(pattern: Reduce2dPattern, side: u32, b: u32, machine: &Machine) -> f64 {
     match pattern {
         Reduce2dPattern::Snake => {
             wse_model::costs_2d::snake_reduce(side as u64, side as u64, b as u64, machine)
         }
-        Reduce2dPattern::Xy(inner) => 2.0 * predict_reduce_1d(inner, side, b, machine, cache),
-    }
-}
-
-fn build_reduce_1d_plan(
-    pattern: ReducePattern,
-    p: u32,
-    b: u32,
-    machine: &Machine,
-    cache: &mut SolverCache,
-) -> CollectivePlan {
-    if pattern == ReducePattern::AutoGen {
-        // Reuse the cached solver instead of rebuilding the DP.
-        let tree = cache.get(p as u64).best_tree(b as u64, machine);
-        let path = LinePath::row(GridDim::row(p), 0);
-        wse_collectives::reduce::tree_reduce_plan(
-            format!("reduce-1d-Auto-Gen-p{p}-b{b}"),
-            &path,
-            &tree,
-            b,
-            ReduceOp::Sum,
-        )
-    } else {
-        reduce_1d_plan(pattern, p, b, ReduceOp::Sum, machine)
+        Reduce2dPattern::Xy(inner) => 2.0 * predict_reduce_1d(inner, side, b, machine),
     }
 }
 

@@ -12,7 +12,9 @@ use crate::phases::{
     append_allgather_rounds, append_reduce_scatter_rounds, append_ring_routes, RingColors,
 };
 use crate::plan::CollectivePlan;
-use crate::reduce::{Reduce2dPattern, ReducePattern, BROADCAST_COLOR};
+use crate::reduce::{
+    reduce_2d_plan_with, AxisSolvers, Reduce2dPattern, ReducePattern, BROADCAST_COLOR,
+};
 use crate::tree_plan::append_tree_reduce;
 
 /// The 1D AllReduce algorithms that can be compiled to a plan.
@@ -80,6 +82,23 @@ pub fn allreduce_1d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    let phase = match pattern {
+        AllReducePattern::ReduceBroadcast(reduce) => Some(reduce),
+        AllReducePattern::Ring => None,
+    };
+    let solvers = AxisSolvers::new(phase, GridDim::row(p));
+    allreduce_1d_plan_with(pattern, p, vector_len, op, machine, &solvers)
+}
+
+/// [`allreduce_1d_plan`] reading Auto-Gen trees from `solvers`.
+pub(crate) fn allreduce_1d_plan_with(
+    pattern: AllReducePattern,
+    p: u32,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &AxisSolvers,
+) -> CollectivePlan {
     match pattern {
         AllReducePattern::ReduceBroadcast(reduce) => {
             let dim = GridDim::row(p);
@@ -90,7 +109,7 @@ pub fn allreduce_1d_plan(
                 path.root(),
                 vector_len,
             );
-            let tree = reduce.tree(p as usize, vector_len, machine);
+            let tree = reduce.tree_with(p as usize, vector_len, machine, solvers.row());
             let colors = [Color::new(0), Color::new(1)];
             append_tree_reduce(&mut plan, &path, &tree, vector_len, op, colors, false);
             append_flood_broadcast(&mut plan, &path, vector_len, 0, Color::new(BROADCAST_COLOR));
@@ -168,6 +187,19 @@ pub fn xy_allreduce_2d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    let solvers = AxisSolvers::new(Some(pattern), dim);
+    xy_allreduce_2d_plan_with(pattern, dim, vector_len, op, machine, &solvers)
+}
+
+/// [`xy_allreduce_2d_plan`] reading Auto-Gen trees from `solvers`.
+pub(crate) fn xy_allreduce_2d_plan_with(
+    pattern: ReducePattern,
+    dim: GridDim,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &AxisSolvers,
+) -> CollectivePlan {
     let mut plan = CollectivePlan::new(
         format!("allreduce-2d-XY-{}-{}x{}-b{}", pattern.name(), dim.height, dim.width, vector_len),
         dim,
@@ -180,7 +212,7 @@ pub fn xy_allreduce_2d_plan(
     let y_bcast = Color::new(5);
     // X phase: AllReduce inside every row.
     if dim.width > 1 {
-        let row_tree = pattern.tree(dim.width as usize, vector_len, machine);
+        let row_tree = pattern.tree_with(dim.width as usize, vector_len, machine, solvers.row());
         for y in 0..dim.height {
             let path = LinePath::row(dim, y);
             append_tree_reduce(&mut plan, &path, &row_tree, vector_len, op, x_colors, false);
@@ -190,7 +222,7 @@ pub fn xy_allreduce_2d_plan(
     // Y phase: AllReduce inside every column (every PE now holds its row's
     // sum, so the column AllReduce completes the global sum everywhere).
     if dim.height > 1 {
-        let col_tree = pattern.tree(dim.height as usize, vector_len, machine);
+        let col_tree = pattern.tree_with(dim.height as usize, vector_len, machine, solvers.col());
         for x in 0..dim.width {
             let path = LinePath::column(dim, x);
             append_tree_reduce(&mut plan, &path, &col_tree, vector_len, op, y_colors, false);
@@ -213,7 +245,20 @@ pub fn allreduce_2d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
-    let mut plan = crate::reduce::reduce_2d_plan(pattern, dim, vector_len, op, machine);
+    let solvers = AxisSolvers::new(pattern.phase(), dim);
+    allreduce_2d_plan_with(pattern, dim, vector_len, op, machine, &solvers)
+}
+
+/// [`allreduce_2d_plan`] reading Auto-Gen trees from `solvers`.
+pub(crate) fn allreduce_2d_plan_with(
+    pattern: Reduce2dPattern,
+    dim: GridDim,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &AxisSolvers,
+) -> CollectivePlan {
+    let mut plan = reduce_2d_plan_with(pattern, dim, vector_len, op, machine, solvers);
     append_flood_broadcast_2d(&mut plan, dim, vector_len, 0, Color::new(BROADCAST_COLOR));
     // After the broadcast every PE holds the result.
     plan.clear_result_pes();

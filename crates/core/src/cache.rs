@@ -143,7 +143,7 @@ impl SharedPlanCache {
     /// touching LRU recency — a peek is an observation, not a use).
     ///
     /// This is the admission controller's view of the cache: the submit path
-    /// wants a warm plan's recorded model choice when one exists, but must
+    /// wants a warm plan's recorded prediction when one exists, but must
     /// never pay for plan generation itself.
     pub(crate) fn peek(&self, request: &CollectiveRequest) -> Option<Arc<ResolvedPlan>> {
         let shard = self.shard_for(request);

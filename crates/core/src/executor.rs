@@ -472,7 +472,8 @@ impl Executor {
     /// a miss** (and without touching LRU recency or the hit/miss counters).
     ///
     /// This is the admission controller's prediction source on the submit
-    /// path: a warm plan's recorded model [`wse_model::Choice`] prices the
+    /// path: a warm plan's recorded prediction
+    /// ([`ResolvedPlan::predicted_cycles`], whatever the schedule) prices the
     /// request for free, and a cold request falls back to the pure cost
     /// model ([`CollectiveRequest::predicted_cycles`]) — plan generation is
     /// never pulled onto the submit path.
@@ -499,20 +500,34 @@ impl Executor {
     /// realization an item sees. Successful runs with a stamped prediction
     /// feed [`ExecutorStats::prediction`].
     pub fn run_stamped(&self, batch: &[StampedItem]) -> Vec<Result<RunOutcome, CollectiveError>> {
+        self.run_stamped_with(batch, |_, result| result)
+    }
+
+    /// [`Executor::run_stamped`], handing each result to `finish(index,
+    /// result)` the moment its item completes, on the thread that ran it,
+    /// instead of when the whole batch has. The serving loop fulfils its
+    /// handles from here, so a response never waits for its batch-mates.
+    pub(crate) fn run_stamped_with<R, F>(&self, batch: &[StampedItem], finish: F) -> Vec<R>
+    where
+        R: Send + Sync,
+        F: Fn(usize, Result<RunOutcome, CollectiveError>) -> R + Sync,
+    {
         let n = batch.len();
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let workers = self.worker_count(n);
         let prepared = parallel_map(n, workers, |i| self.prepare(&batch[i].item));
-        let results = parallel_map(n, workers, |i| match &prepared[i] {
-            Ok(resolved) => self.execute_one(resolved, &batch[i].item.inputs, batch[i].run_index),
-            Err(error) => Err(error.clone()),
-        });
-        for (stamped, result) in batch.iter().zip(&results) {
-            if let (Some(predicted), Ok(outcome)) = (stamped.predicted_cycles, result) {
+        parallel_map(n, workers, |i| {
+            let result = match &prepared[i] {
+                Ok(resolved) => {
+                    self.execute_one(resolved, &batch[i].item.inputs, batch[i].run_index)
+                }
+                Err(error) => Err(error.clone()),
+            };
+            if let (Some(predicted), Ok(outcome)) = (batch[i].predicted_cycles, &result) {
                 self.lock_prediction().record(predicted, outcome.runtime_cycles());
             }
-        }
-        results
+            finish(i, result)
+        })
     }
 
     fn lock_prediction(&self) -> std::sync::MutexGuard<'_, PredictionState> {
@@ -530,6 +545,16 @@ impl Executor {
     /// byte-identical to a sequential [`crate::session::Session`] (see the
     /// module docs).
     pub fn run_batch(&self, batch: &[BatchItem]) -> Vec<Result<RunOutcome, CollectiveError>> {
+        self.run_batch_with(batch, |_, result| result)
+    }
+
+    /// [`Executor::run_batch`] with a per-item completion hook (see
+    /// [`Executor::run_stamped_with`]).
+    pub(crate) fn run_batch_with<R, F>(&self, batch: &[BatchItem], finish: F) -> Vec<R>
+    where
+        R: Send + Sync,
+        F: Fn(usize, Result<RunOutcome, CollectiveError>) -> R + Sync,
+    {
         let n = batch.len();
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let workers = self.worker_count(n);
@@ -552,9 +577,12 @@ impl Executor {
             })
             .collect();
         // Phase 2: execute the valid items.
-        parallel_map(n, workers, |i| match &prepared[i] {
-            Ok(resolved) => self.execute_one(resolved, &batch[i].inputs, run_indices[i]),
-            Err(error) => Err(error.clone()),
+        parallel_map(n, workers, |i| {
+            let result = match &prepared[i] {
+                Ok(resolved) => self.execute_one(resolved, &batch[i].inputs, run_indices[i]),
+                Err(error) => Err(error.clone()),
+            };
+            finish(i, result)
         })
     }
 
@@ -952,6 +980,26 @@ mod tests {
         executor.run_batch(&[BatchItem::new(request, inputs(8, 16))]);
         let peeked = executor.cached_plan(&request).expect("warm peek hits");
         assert!(peeked.choice.is_some());
+    }
+
+    #[test]
+    fn cached_explicit_plans_carry_their_prediction() {
+        // The submit path prices a warm request from its cached plan; for
+        // an explicit Auto-Gen schedule the alternative is solving the DP
+        // again on every submit.
+        let executor = Executor::new();
+        for schedule in
+            [Schedule::Reduce1d(ReducePattern::AutoGen), Schedule::Reduce1d(ReducePattern::Chain)]
+        {
+            let request = CollectiveRequest::reduce(Topology::line(12), 16).with_schedule(schedule);
+            executor.run_batch(&[BatchItem::new(request, inputs(12, 16))]);
+            let cached = executor.cached_plan(&request).expect("warm peek hits");
+            assert!(cached.choice.is_none(), "explicit schedules record no model choice");
+            assert_eq!(
+                cached.predicted_cycles(),
+                Some(request.predicted_cycles(executor.machine()).unwrap())
+            );
+        }
     }
 
     #[test]

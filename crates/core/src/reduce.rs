@@ -48,6 +48,19 @@ impl ReducePattern {
     /// The reduction tree this pattern uses on `p` PEs for vectors of
     /// `vector_len` wavelets.
     pub fn tree(&self, p: usize, vector_len: u32, machine: &Machine) -> ReductionTree {
+        let solver = (*self == Self::AutoGen).then(|| AutogenSolver::new(p as u64));
+        self.tree_with(p, vector_len, machine, solver.as_ref())
+    }
+
+    /// [`ReducePattern::tree`] reading the Auto-Gen tree from `solver`, the
+    /// table for `p` PEs (only Auto-Gen needs one).
+    pub(crate) fn tree_with(
+        &self,
+        p: usize,
+        vector_len: u32,
+        machine: &Machine,
+        solver: Option<&AutogenSolver>,
+    ) -> ReductionTree {
         match self {
             Self::Star => ReductionTree::star(p),
             Self::Chain => ReductionTree::chain(p),
@@ -56,7 +69,11 @@ impl ReducePattern {
                 let s = wse_model::costs_1d::two_phase_default_group(p as u64) as usize;
                 ReductionTree::two_phase(p, s)
             }
-            Self::AutoGen => AutogenSolver::new(p as u64).best_tree(vector_len as u64, machine),
+            Self::AutoGen => {
+                let solver = solver.expect("an Auto-Gen tree is read from its solved table");
+                assert_eq!(solver.pes(), p as u64, "solver built for a different PE count");
+                solver.best_tree(vector_len as u64, machine)
+            }
         }
     }
 
@@ -80,6 +97,40 @@ impl ReducePattern {
             Self::TwoPhase => wse_model::Reduce1dAlgorithm::TwoPhase,
             Self::AutoGen => wse_model::Reduce1dAlgorithm::AutoGen,
         }
+    }
+}
+
+/// The Auto-Gen DP tables for the two axes of one plan.
+///
+/// Resolving a request prices it and builds its plan; both read the same
+/// tables, so each axis is solved once per resolve, and a square grid's two
+/// equal axes share one table.
+#[derive(Debug)]
+pub(crate) struct AxisSolvers {
+    row: Option<AutogenSolver>,
+    col: Option<AutogenSolver>,
+}
+
+impl AxisSolvers {
+    /// Solve what a schedule whose per-axis phases use `phase` needs on
+    /// `dim` (a line is a one-row grid): nothing unless that is Auto-Gen.
+    pub(crate) fn new(phase: Option<ReducePattern>, dim: GridDim) -> Self {
+        if phase != Some(ReducePattern::AutoGen) {
+            return AxisSolvers { row: None, col: None };
+        }
+        let row = AutogenSolver::new(dim.width as u64);
+        let col = (dim.height != dim.width).then(|| AutogenSolver::new(dim.height as u64));
+        AxisSolvers { row: Some(row), col }
+    }
+
+    /// The solver for a row (`dim.width` PEs).
+    pub(crate) fn row(&self) -> Option<&AutogenSolver> {
+        self.row.as_ref()
+    }
+
+    /// The solver for a column (`dim.height` PEs).
+    pub(crate) fn col(&self) -> Option<&AutogenSolver> {
+        self.col.as_ref().or(self.row.as_ref())
     }
 }
 
@@ -126,9 +177,22 @@ pub fn reduce_1d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    let solvers = AxisSolvers::new(Some(pattern), GridDim::row(p));
+    reduce_1d_plan_with(pattern, p, vector_len, op, machine, &solvers)
+}
+
+/// [`reduce_1d_plan`] reading Auto-Gen trees from `solvers`.
+pub(crate) fn reduce_1d_plan_with(
+    pattern: ReducePattern,
+    p: u32,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &AxisSolvers,
+) -> CollectivePlan {
     let dim = GridDim::row(p);
     let path = LinePath::row(dim, 0);
-    let tree = pattern.tree(p as usize, vector_len, machine);
+    let tree = pattern.tree_with(p as usize, vector_len, machine, solvers.row());
     tree_reduce_plan(
         format!("reduce-1d-{}-p{}-b{}", pattern.name(), p, vector_len),
         &path,
@@ -148,6 +212,14 @@ pub enum Reduce2dPattern {
 }
 
 impl Reduce2dPattern {
+    /// The 1D pattern of the per-axis phases, when the pattern has them.
+    pub(crate) fn phase(&self) -> Option<ReducePattern> {
+        match *self {
+            Self::Xy(pattern) => Some(pattern),
+            Self::Snake => None,
+        }
+    }
+
     /// Name as used in the paper's figures.
     pub fn name(&self) -> String {
         match self {
@@ -196,6 +268,19 @@ pub fn reduce_2d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    let solvers = AxisSolvers::new(pattern.phase(), dim);
+    reduce_2d_plan_with(pattern, dim, vector_len, op, machine, &solvers)
+}
+
+/// [`reduce_2d_plan`] reading Auto-Gen trees from `solvers`.
+pub(crate) fn reduce_2d_plan_with(
+    pattern: Reduce2dPattern,
+    dim: GridDim,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &AxisSolvers,
+) -> CollectivePlan {
     let mut plan = CollectivePlan::new(
         format!("reduce-2d-{}-{}x{}-b{}", pattern.name(), dim.height, dim.width, vector_len),
         dim,
@@ -212,7 +297,8 @@ pub fn reduce_2d_plan(
             // X phase: reduce every row towards its leftmost PE. Rows are
             // disjoint, so they share the same pair of colors.
             if dim.width > 1 {
-                let row_tree = p1d.tree(dim.width as usize, vector_len, machine);
+                let row_tree =
+                    p1d.tree_with(dim.width as usize, vector_len, machine, solvers.row());
                 for y in 0..dim.height {
                     let path = LinePath::row(dim, y);
                     append_tree_reduce(
@@ -228,7 +314,8 @@ pub fn reduce_2d_plan(
             }
             // Y phase: reduce the first column towards the root.
             if dim.height > 1 {
-                let col_tree = p1d.tree(dim.height as usize, vector_len, machine);
+                let col_tree =
+                    p1d.tree_with(dim.height as usize, vector_len, machine, solvers.col());
                 let path = LinePath::column(dim, 0);
                 append_tree_reduce(&mut plan, &path, &col_tree, vector_len, op, y_colors(), false);
             }

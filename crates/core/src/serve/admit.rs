@@ -24,7 +24,7 @@
 //!   latency-sensitive reduces.
 //!
 //! Predictions come from [`crate::executor::Executor::cached_plan`] (a warm
-//! plan's recorded model choice) with a fallback to the pure cost model
+//! plan's recorded prediction) with a fallback to the pure cost model
 //! ([`crate::request::CollectiveRequest::predicted_cycles`]); the submit
 //! path never generates a plan.
 //!

@@ -1,8 +1,9 @@
 //! Completion handles: the caller's side of an in-flight request.
 //!
 //! Submitting a request to a [`crate::serve::CollectiveService`] returns a
-//! [`ResponseHandle`] immediately; the batcher thread fulfils the handle's
-//! shared slot when the request's batch completes. A handle can be blocked
+//! [`ResponseHandle`] immediately; the handle's shared slot is fulfilled the
+//! moment the request's own run finishes, whatever the rest of its batch is
+//! still doing. A handle can be blocked
 //! on ([`ResponseHandle::wait`]) or polled ([`ResponseHandle::try_get`],
 //! [`ResponseHandle::is_ready`]), and the delivered [`Response`] carries the
 //! request's end-to-end latency (enqueue to completion) next to its result.
@@ -20,8 +21,9 @@ pub struct Response {
     /// The request's outcome: the run's outputs and report, or the typed
     /// error that rejected it.
     pub result: Result<RunOutcome, CollectiveError>,
-    /// Wall-clock time from submission (enqueue) to completion, including
-    /// queueing, batching delay and execution.
+    /// Wall-clock time from submission (enqueue) to the completion of this
+    /// request's own run, including queueing, batching delay and the runs
+    /// of the batch-mates executed before it.
     pub latency: Duration,
     /// How admission control handled the request: `None` when the service
     /// runs without an active [`crate::serve::AdmissionConfig`], `Some`

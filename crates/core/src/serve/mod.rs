@@ -12,7 +12,8 @@
 //! * a dedicated **batcher thread** forms batches by *deadline or size*
 //!   ([`batcher`]): a batch is dispatched to the executor as soon as it
 //!   holds `max_batch` requests, or `max_wait` after its oldest request
-//!   arrived, whichever comes first;
+//!   arrived, whichever comes first; each handle is fulfilled as its own
+//!   item finishes, so a response never waits for the rest of its batch;
 //! * the queue bound is the **backpressure** mechanism:
 //!   [`CollectiveService::try_submit`] fails fast with
 //!   [`CollectiveError::QueueFull`], [`CollectiveService::submit`] blocks
@@ -619,13 +620,12 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>, reason: FlushReason) {
             BatchItem::new(pending.request, pending.inputs)
         })
         .collect();
-    let results = shared.executor.run_batch(&items);
-    let completed_at = Instant::now();
-    for ((slot, submitted_at), result) in slots.into_iter().zip(results) {
-        let latency = completed_at.duration_since(submitted_at);
+    shared.executor.run_batch_with(&items, |index, result| {
+        let (slot, submitted_at) = &slots[index];
+        let latency = submitted_at.elapsed();
         shared.stats.record_completion(latency);
         slot.fulfil(Response { result, latency, admission: None });
-    }
+    });
 }
 
 /// Dispatch one cost-aware batch through the stamped executor entry point
@@ -656,13 +656,12 @@ fn execute_batch_stamped(shared: &Shared, batch: Vec<Pending>, reason: FlushReas
             }
         })
         .collect();
-    let results = shared.executor.run_stamped(&items);
-    let completed_at = Instant::now();
-    for ((slot, submitted_at, info), result) in slots.into_iter().zip(results) {
-        let latency = completed_at.duration_since(submitted_at);
+    shared.executor.run_stamped_with(&items, |index, result| {
+        let (slot, submitted_at, info) = &slots[index];
+        let latency = submitted_at.elapsed();
         shared.stats.record_completion(latency);
-        slot.fulfil(Response { result, latency, admission: Some(info) });
-    }
+        slot.fulfil(Response { result, latency, admission: Some(*info) });
+    });
 }
 
 #[cfg(test)]
@@ -696,6 +695,28 @@ mod tests {
         assert_eq!(stats.size_flushes, 1);
         assert_eq!(stats.deadline_flushes, 0);
         assert_eq!(stats.batch_size_histogram, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_response_does_not_wait_for_the_rest_of_its_batch() {
+        // One worker, one batch of two, the cheap request first. Fulfilled
+        // together at the end of the batch, the request submitted first
+        // would report the longer latency; fulfilled as each run finishes,
+        // the cheap one is done before the expensive one starts.
+        let mut config = ServiceConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(60),
+            ..ServiceConfig::default()
+        };
+        config.executor.workers = std::num::NonZeroUsize::new(1);
+        let service = CollectiveService::with_config(config);
+        let (cheap_inputs, costly_inputs) = (inputs(4, 8), inputs(64, 4096));
+        let cheap = service.submit(reduce_request(4, 8), cheap_inputs).unwrap();
+        let costly = service.submit(reduce_request(64, 4096), costly_inputs).unwrap();
+        let (cheap, costly) = (cheap.wait(), costly.wait());
+        assert!(cheap.result.is_ok() && costly.result.is_ok());
+        assert!(cheap.latency < costly.latency, "{:?} vs {:?}", cheap.latency, costly.latency);
+        assert_eq!(service.stats().batches, 1);
     }
 
     #[test]

