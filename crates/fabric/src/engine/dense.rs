@@ -1,11 +1,12 @@
-//! The dense-regime executor of the fast engine: struct-of-arrays PE lanes,
-//! cohort stepping and slot-cached routing.
+//! The struct-of-arrays executor of the fast engine: cohort stepping over
+//! the lanes that can act, slot-cached routing over the routers that hold
+//! wavelets. It steps cycle by cycle like the reference engine, but a PE that
+//! merely waits costs it nothing.
 //!
-//! When most PEs are busy, the event-driven machinery of `engine/fast.rs`
-//! degenerates into the reference sweep — every PE steps and every router
-//! routes every cycle, just with extra bookkeeping on top. This module is
-//! the fast engine's second gear for that regime. On entry it *extracts* the
-//! hot state of the whole fabric into flat mirrors:
+//! Every fabric with programs on most of its PEs runs here, whether those
+//! PEs compute or wait for a wavefront to reach them (the entry test counts
+//! unfinished programs, see [the dense regime](super)). On entry the hot
+//! state of the whole fabric is *extracted* into flat mirrors:
 //!
 //! * per-PE execution state (pc, progress counters, pending no-ops, finish
 //!   cycles, statistics) as parallel arrays indexed by PE,
@@ -16,27 +17,57 @@
 //!   every script (accept direction, forward set, advance trigger, cursor)
 //!   as flat slot records, so routing a wavelet touches no `Vec` of rules
 //!   and no linear color scan,
-//! * a neighbour table and a per-router wavelet count that skips idle
-//!   routers in one branch.
+//! * a neighbour table, a per-router occupied-port mask, and two bitsets:
+//!   the **live** lanes (unfinished and not parked) and the **active**
+//!   routers (non-zero port mask).
 //!
 //! Each simulated cycle then runs in three passes. A read-only **plan** pass
-//! walks the live lanes in ascending order and buckets them into cohorts by
-//! instruction kind — the lanes that will act, the lanes that stall, and the
-//! `f32` operands of every `Recv`+reduce / `RecvForward` lane gathered into
-//! contiguous scratch. An **execute** pass drains each cohort in a tight
-//! loop, applying reduce operators through the chunked kernels of
-//! [`crate::kernel`]. A **routing** pass replays the reference engine's
-//! exact ascending router / port / fairness order against the mirrored
-//! rings and slot records — itself split into a gather sub-pass (collect
-//! every occupied port's visible head, warming the slot and destination
-//! lines with independent loads) and a commit sub-pass (decide and move,
-//! with per-rule destination caches and a full-queue bitset keeping the
-//! decide path off the destination's cache line). On exit (completion,
-//! error, or an idle cycle at low live-lane density) every mirror is
-//! written back, so the fabric is byte-identical to one advanced by the
-//! reference engine.
+//! walks the live lanes and buckets them into cohorts by instruction kind —
+//! the lanes that will act, the lanes that stall, and the `f32` operands of
+//! every `Recv`+reduce / `RecvForward` lane gathered into contiguous scratch.
+//! An **execute** pass drains each cohort in a tight loop, applying reduce
+//! operators through the chunked kernels of [`crate::kernel`]. A **routing**
+//! pass replays the reference engine's exact ascending router / port /
+//! fairness order over the active routers — itself split into a gather
+//! sub-pass (collect every occupied port's visible head, warming the slot
+//! and destination lines with independent loads) and a commit sub-pass
+//! (decide and move, with per-rule destination caches and a full-queue
+//! bitset keeping the decide path off the destination's cache line). Both
+//! walks are ascending bitset walks: routing order is part of the semantics,
+//! and for lanes it is the order in which the mirrors lie in memory (an
+//! unordered live list cost the all-busy 48x48 Reduce 12%). On exit every
+//! mirror is written back, so the fabric is byte-identical to one advanced
+//! by the reference engine.
 //!
-//! Two details preserve byte-identity on the edges:
+//! # Parked lanes
+//!
+//! A stalled lane whose stall only a router move can end leaves the live
+//! set: a `Send` (its up ring is full), a receive on an *empty* down ring, a
+//! `RecvForward` on an empty down ring or with a consumable head and a full
+//! up ring, an `Exchange` of which neither half acted and whose receive side
+//! is done or has nothing queued. A head that is queued but not ready yet is
+//! a timed wait and keeps its lane live. The stall of the parking cycle
+//! `now` is counted by the cohort as always; `since = now + 1` is then the
+//! first cycle nobody has counted, and the rest is credited lazily:
+//!
+//! * the router pushing onto the lane's down ring, or popping its up ring,
+//!   in cycle `now` wakes it with `now + 1 - since` stalls (it would have
+//!   stalled in phase 1 of `now` too),
+//! * a noise no-op drawn for it before the plan pass of `now` wakes it with
+//!   `now - since` (in `now` it takes the no-op instead),
+//! * `writeback(through)` credits `through - since` to whatever is still
+//!   parked: `through` is `fabric.cycle` on completion, cycle limit,
+//!   deadlock and hand-back (the cycle counter has advanced, or the cycle
+//!   has not started), `now` when the plan pass abandons the cycle (the
+//!   scalar replay steps those PEs itself) and `now + 1` on a routing error
+//!   (every PE has taken its phase-1 step of `now`).
+//!
+//! A spurious wake costs one stalled step and a re-park; a missed one is a
+//! hang. Termination and the hand-back density count live *plus* parked
+//! lanes, so segments begin and end on the cycles they would without
+//! parking, and no parking state outlives `writeback`.
+//!
+//! Two more details preserve byte-identity on the edges:
 //!
 //! * **Errors.** Phase-1 steps of one cycle are mutually independent, so
 //!   cohort order is free — *except* that the reference engine returns the
@@ -47,10 +78,10 @@
 //!   which reproduces the reference's precedence and partial-cycle state
 //!   exactly. Routing errors already surface in reference order because the
 //!   routing pass is sequential.
-//! * **Noise.** Dense stepping never skips cycles, so it also runs under a
-//!   noise model: the RNG is sampled once per PE per cycle in index order,
-//!   exactly like the reference engine, and lanes with pending no-ops take
-//!   the no-op branch instead of their cohort's action.
+//! * **Noise.** Stepping never skips cycles, so it also runs under a noise
+//!   model: the RNG is sampled once per PE per cycle in index order, exactly
+//!   like the reference engine, and lanes with pending no-ops take the no-op
+//!   branch instead of their cohort's action.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -111,6 +142,41 @@ static SEGMENTS_HANDED_BACK: std::sync::atomic::AtomicU64 = std::sync::atomic::A
 #[cfg(test)]
 pub(super) fn segments_handed_back() -> u64 {
     SEGMENTS_HANDED_BACK.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+// Lanes the plan pass looked at / routers the gather pass looked at, per test
+// thread (so a test's delta is exact while other tests run beside it).
+#[cfg(test)]
+thread_local! {
+    static LANE_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static ROUTER_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `since` of a lane that is not parked.
+const NOT_PARKED: u64 = u64::MAX;
+
+/// Ascending walk over the set bits of a bit-per-PE set. Each word is read
+/// when the walk reaches it and the slice is borrowed only per step, so the
+/// loop body may take `&mut` of the owner.
+#[derive(Default)]
+struct BitWalk {
+    /// Index of the word after the one being drained.
+    next_word: usize,
+    /// Unvisited bits of the current word.
+    word: u64,
+}
+
+impl BitWalk {
+    #[inline]
+    fn next(&mut self, words: &[u64]) -> Option<usize> {
+        while self.word == 0 {
+            self.word = *words.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some((self.next_word - 1) * 64 + bit)
+    }
 }
 
 /// The effective dense entry threshold (as a percentage), or `None` if dense
@@ -339,7 +405,10 @@ struct Scratch {
     noop: Vec<u32>,
     epilogue: Vec<u32>,
     compute: Vec<u32>,
+    /// Lanes that stall on a maturing head — a timed wait: they stay live.
     stalled: Vec<u32>,
+    /// Lanes that stall until a router move unblocks them: they park.
+    park: Vec<u32>,
     send_pe: Vec<u32>,
     send_val: Vec<f32>,
     store_pe: Vec<u32>,
@@ -356,6 +425,7 @@ impl Scratch {
         self.epilogue.clear();
         self.compute.clear();
         self.stalled.clear();
+        self.park.clear();
         self.send_pe.clear();
         self.send_val.clear();
         self.store_pe.clear();
@@ -448,11 +518,18 @@ struct DenseState {
     ramp_wavelets: u64,
     inbuf_wavelets: u64,
 
-    /// A lane retired this cycle — the retire sweep runs only then.
-    any_finished: bool,
-
-    /// Unfinished PEs, ascending.
-    lanes: Vec<u32>,
+    /// The stepped set: unfinished lanes that are not parked (bit per PE).
+    live: Vec<u64>,
+    /// Unfinished lanes, live plus parked — what the termination test and
+    /// the hand-back density count.
+    unfinished: usize,
+    /// First cycle of each parked lane whose stall is not yet credited;
+    /// [`NOT_PARKED`] otherwise.
+    since: Vec<u64>,
+    /// Number of parked lanes (0 short-circuits every wake check).
+    parked: usize,
+    /// Routers with a non-zero `port_mask` (bit per PE), kept in step with it.
+    routers: Vec<u64>,
     sc: Scratch,
 }
 
@@ -482,24 +559,26 @@ pub(super) fn run_segment(
     let mut st = DenseState::extract(fabric);
 
     loop {
-        if st.lanes.is_empty() && st.ramp_wavelets == 0 && st.inbuf_wavelets == 0 {
-            st.writeback(fabric);
+        if st.unfinished == 0 && st.ramp_wavelets == 0 && st.inbuf_wavelets == 0 {
+            st.writeback(fabric, fabric.cycle);
             debug_assert!(fabric.finished());
             return Ok(Some(fabric.report()));
         }
         if fabric.cycle >= fabric.params.max_cycles {
-            st.writeback(fabric);
+            st.writeback(fabric, fabric.cycle);
             return Err(FabricError::CycleLimitExceeded { limit: fabric.params.max_cycles });
         }
         let now = fabric.cycle;
 
         // Phase A: noise draws for every PE, in index order (identical RNG
-        // stream to the reference engine).
+        // stream to the reference engine). A no-op landing on a parked lane
+        // wakes it: this cycle it takes the no-op, not another stall.
         if let Some(noise) = &mut fabric.noise {
-            for pending in &mut st.pending {
+            for pe in 0..st.n {
                 let noops = noise.sample_noops();
                 if noops > 0 {
-                    *pending = pending.saturating_add(noops);
+                    st.pending[pe] = st.pending[pe].saturating_add(noops);
+                    st.wake(pe, now);
                 }
             }
         }
@@ -507,7 +586,8 @@ pub(super) fn run_segment(
         // Phase B: plan (read-only), then execute per cohort.
         st.sc.clear();
         if st.plan(now) == Plan::WouldError {
-            st.writeback(fabric);
+            // The scalar replay steps cycle `now` for every PE itself.
+            st.writeback(fabric, now);
             scalar_cycle(fabric, idle_cycles, tolerance)?;
             return Ok(None);
         }
@@ -517,16 +597,10 @@ pub(super) fn run_segment(
         match st.route_all(fabric, now) {
             Ok(moved) => progress |= moved,
             Err(e) => {
-                st.writeback(fabric);
+                // Every PE has taken its phase-1 step of `now`.
+                st.writeback(fabric, now + 1);
                 return Err(e);
             }
-        }
-
-        // Retire finished lanes (only when some lane finished this cycle).
-        if st.any_finished {
-            st.any_finished = false;
-            let (lanes, finish) = (&mut st.lanes, &st.finish);
-            lanes.retain(|&pe| finish[pe as usize] == u64::MAX);
         }
 
         fabric.cycle += 1;
@@ -535,22 +609,22 @@ pub(super) fn run_segment(
         } else {
             *idle_cycles += 1;
             if *idle_cycles > tolerance {
-                st.writeback(fabric);
+                st.writeback(fabric, fabric.cycle);
                 return Err(fabric.deadlock_error());
             }
         }
 
-        // Hand-back: only when the fabric goes idle *and* the live-lane
+        // Hand-back: only when the fabric goes idle *and* the unfinished-lane
         // density has dropped below half the entry threshold. A flowing
         // pipeline is cheaper to step here than in the event-driven loop
         // regardless of density (no cycle can be skipped while wavelets
         // move), but an idle cycle at low density is exactly the situation
         // the skip-ahead loop exists for. With an entry threshold of 0 the
         // density clause never fires: the segment runs to completion.
-        if !progress && st.lanes.len() * 200 < entry_pct * st.n {
+        if !progress && st.unfinished * 200 < entry_pct * st.n {
             #[cfg(test)]
             SEGMENTS_HANDED_BACK.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            st.writeback(fabric);
+            st.writeback(fabric, fabric.cycle);
             return Ok(None);
         }
     }
@@ -645,8 +719,11 @@ impl DenseState {
             ib_color_qi: vec![[NO_QUEUE; Color::MAX_COLORS as usize]; n * 4],
             ramp_wavelets: 0,
             inbuf_wavelets: 0,
-            any_finished: false,
-            lanes: Vec::with_capacity(n),
+            live: vec![0; n.div_ceil(64)],
+            unfinished: 0,
+            since: vec![NOT_PARKED; n],
+            parked: 0,
+            routers: vec![0; n.div_ceil(64)],
             sc: Scratch::default(),
         };
 
@@ -688,7 +765,8 @@ impl DenseState {
             st.kind.push(Kind::Epilogue);
             st.set_descriptor(i, instr);
             if hot.finish_cycle.is_none() {
-                st.lanes.push(i as u32);
+                st.live[i >> 6] |= 1 << (i & 63);
+                st.unfinished += 1;
             }
         }
         st.local_base.push(st.local.len() as u32);
@@ -760,16 +838,24 @@ impl DenseState {
                 }
             }
             st.port_mask.push(mask);
+            if mask != 0 {
+                st.routers[i >> 6] |= 1 << (i & 63);
+            }
         }
         st.slot_base.push(st.slots.len() as u32);
         st
     }
 
-    fn writeback(&mut self, fabric: &mut Fabric) {
+    /// Write every mirror back, crediting still-parked lanes their stalls of
+    /// the cycles `since..through` (see the module docs for `through`).
+    fn writeback(&mut self, fabric: &mut Fabric, through: u64) {
         let cap = self.cap;
         let mut tmp_up = Vec::with_capacity(cap);
         let mut tmp_down = Vec::with_capacity(cap);
         for i in 0..self.n {
+            if self.since[i] != NOT_PARKED {
+                self.stats[i].stalls += through - self.since[i];
+            }
             tmp_up.clear();
             tmp_down.clear();
             let base = i * cap;
@@ -1001,6 +1087,72 @@ impl DenseState {
         self.up[pe * cap + pos] = (ready, w);
     }
 
+    /// Take `pe` out of the live set; its stalls from `since` on are owed.
+    #[inline]
+    fn park(&mut self, pe: usize, since: u64) {
+        self.live[pe >> 6] &= !(1 << (pe & 63));
+        self.since[pe] = since;
+        self.parked += 1;
+    }
+
+    /// Return `pe` to the live set if it is parked, crediting its stalls of
+    /// the cycles `since..through`. Out of line past the first test: while
+    /// nothing is parked (the all-busy regime) a wake site costs one compare.
+    #[inline]
+    fn wake(&mut self, pe: usize, through: u64) {
+        if self.parked != 0 {
+            self.wake_parked(pe, through);
+        }
+    }
+
+    #[inline(never)]
+    fn wake_parked(&mut self, pe: usize, through: u64) {
+        if self.since[pe] == NOT_PARKED {
+            return;
+        }
+        self.stats[pe].stalls += through - self.since[pe];
+        self.since[pe] = NOT_PARKED;
+        self.parked -= 1;
+        self.live[pe >> 6] |= 1 << (pe & 63);
+    }
+
+    /// `pe`'s program finished at `now`.
+    #[inline]
+    fn retire(&mut self, pe: usize, now: u64) {
+        self.finish[pe] = now;
+        self.live[pe >> 6] &= !(1 << (pe & 63));
+        self.unfinished -= 1;
+    }
+
+    /// Mark input port `bit` of router `i` occupied.
+    #[inline]
+    fn port_fill(&mut self, i: usize, bit: usize) {
+        if self.port_mask[i] == 0 {
+            self.routers[i >> 6] |= 1 << (i & 63);
+        }
+        self.port_mask[i] |= 1 << bit;
+    }
+
+    /// Mark input port `bit` of router `i` drained.
+    #[inline]
+    fn port_drain(&mut self, i: usize, bit: usize) {
+        self.port_mask[i] &= !(1 << bit);
+        if self.port_mask[i] == 0 {
+            self.routers[i >> 6] &= !(1 << (i & 63));
+        }
+    }
+
+    /// Cohort of a receive that found no consumable head: park on an empty
+    /// down ring, stay live while a queued head matures.
+    #[inline]
+    fn wait_on_down(&mut self, pe32: u32) {
+        if self.down_head_ready[pe32 as usize] == u64::MAX {
+            self.sc.park.push(pe32);
+        } else {
+            self.sc.stalled.push(pe32);
+        }
+    }
+
     /// The read-only plan pass: bucket every live lane into its cohort and
     /// gather operands. Detects lanes that would raise a program error
     /// *before anything mutates*, mirroring the error conditions of
@@ -1009,9 +1161,11 @@ impl DenseState {
     fn plan(&mut self, now: u64) -> Plan {
         let noisy = self.noisy;
         let cap = self.cap;
-        for li in 0..self.lanes.len() {
-            let pe32 = self.lanes[li];
-            let pe = pe32 as usize;
+        let mut walk = BitWalk::default();
+        while let Some(pe) = walk.next(&self.live) {
+            #[cfg(test)]
+            LANE_VISITS.with(|c| c.set(c.get() + 1));
+            let pe32 = pe as u32;
             if noisy && self.pending[pe] > 0 {
                 self.sc.noop.push(pe32);
                 continue;
@@ -1033,7 +1187,7 @@ impl DenseState {
                         self.sc.send_pe.push(pe32);
                         self.sc.send_val.push(self.local[idx]);
                     } else {
-                        self.sc.stalled.push(pe32);
+                        self.sc.park.push(pe32);
                     }
                 }
                 Kind::RecvStore => match self.down_ready(pe, now) {
@@ -1049,7 +1203,7 @@ impl DenseState {
                         self.sc.store_val.push(w.as_f32());
                         self.sc.store_idx.push(idx as u32);
                     }
-                    None => self.sc.stalled.push(pe32),
+                    None => self.wait_on_down(pe32),
                 },
                 Kind::RecvReduce(op) => match self.down_ready(pe, now) {
                     Some(w) => {
@@ -1066,7 +1220,7 @@ impl DenseState {
                         s.inc.push(w.as_f32());
                         s.idx.push(idx as u32);
                     }
-                    None => self.sc.stalled.push(pe32),
+                    None => self.wait_on_down(pe32),
                 },
                 Kind::Forward(op) => match self.down_ready(pe, now) {
                     Some(w) => {
@@ -1086,10 +1240,11 @@ impl DenseState {
                             s.inc.push(w.as_f32());
                             s.idx.push(idx as u32);
                         } else {
-                            self.sc.stalled.push(pe32);
+                            // Head consumable, so the up ring is what is full.
+                            self.sc.park.push(pe32);
                         }
                     }
-                    None => self.sc.stalled.push(pe32),
+                    None => self.wait_on_down(pe32),
                 },
                 Kind::Exchange => {
                     let len = d.len;
@@ -1145,10 +1300,9 @@ impl DenseState {
         // path does not push one either).
         for li in 0..self.sc.epilogue.len() {
             let pe = self.sc.epilogue[li] as usize;
-            self.finish[pe] = now;
+            self.retire(pe, now);
         }
         progress |= !self.sc.epilogue.is_empty();
-        self.any_finished |= !self.sc.epilogue.is_empty();
 
         // Compute.
         let cohort = mem::take(&mut self.sc.compute);
@@ -1173,7 +1327,7 @@ impl DenseState {
                 .with_control(is_last && d.last_control);
             self.up_push(pe, now + self.t_r, w);
             self.ramp_wavelets += 1;
-            self.port_mask[pe] |= 1 << RAMP_INDEX;
+            self.port_fill(pe, RAMP_INDEX);
             self.stats[pe].sent += 1;
             self.progress[pe] = p + 1;
             if is_last {
@@ -1252,7 +1406,7 @@ impl DenseState {
                     Wavelet::from_f32(d.color2, combined).with_control(is_last && d.last_control);
                 // One cycle to combine, then the ramp latency upwards.
                 self.up_push(pe, now + 1 + self.t_r, out);
-                self.port_mask[pe] |= 1 << RAMP_INDEX;
+                self.port_fill(pe, RAMP_INDEX);
                 self.stats[pe].sent += 1;
                 self.progress[pe] = p + 1;
                 if is_last {
@@ -1272,7 +1426,7 @@ impl DenseState {
                 let w = Wavelet::from_f32(d.color2, plan.send_val);
                 self.up_push(pe, now + self.t_r, w);
                 self.ramp_wavelets += 1;
-                self.port_mask[pe] |= 1 << RAMP_INDEX;
+                self.port_fill(pe, RAMP_INDEX);
                 self.stats[pe].sent += 1;
                 self.progress_alt[pe] += 1;
             }
@@ -1288,21 +1442,32 @@ impl DenseState {
                 };
                 self.progress[pe] += 1;
             }
-            if plan.send || plan.recv {
-                progress = true;
-            } else {
+            let stalled = !(plan.send || plan.recv);
+            if stalled {
                 self.stats[pe].stalls += 1;
+            } else {
+                progress = true;
             }
             if self.progress[pe] >= d.len && self.progress_alt[pe] >= d.len {
                 self.advance(fabric, pe, now);
+            } else if stalled
+                && (self.progress[pe] >= d.len || self.down_head_ready[pe] == u64::MAX)
+            {
+                // Neither half acted and no head is maturing.
+                self.park(pe, now + 1);
             }
         }
         self.sc.exch = cohort;
 
-        // Stalled lanes.
+        // Stalled lanes: this cycle's stall is counted here either way.
         for li in 0..self.sc.stalled.len() {
             let pe = self.sc.stalled[li] as usize;
             self.stats[pe].stalls += 1;
+        }
+        for li in 0..self.sc.park.len() {
+            let pe = self.sc.park[li] as usize;
+            self.stats[pe].stalls += 1;
+            self.park(pe, now + 1);
         }
 
         progress
@@ -1317,10 +1482,7 @@ impl DenseState {
         self.progress_alt[pe] = 0;
         match fabric.pes[pe].instruction_at(self.pc[pe]) {
             Some(instr) => self.set_descriptor(pe, Some(instr)),
-            None => {
-                self.finish[pe] = now;
-                self.any_finished = true;
-            }
+            None => self.retire(pe, now),
         }
     }
 
@@ -1341,11 +1503,11 @@ impl DenseState {
         // across ~hundreds of ports that the core can overlap; pass 2 then
         // re-reads them from warm cache.
         let mut cands = std::mem::take(&mut self.sc.cands);
-        for i in 0..self.n {
+        let mut walk = BitWalk::default();
+        while let Some(i) = walk.next(&self.routers) {
+            #[cfg(test)]
+            ROUTER_VISITS.with(|c| c.set(c.get() + 1));
             let in_mask = self.port_mask[i];
-            if in_mask == 0 {
-                continue;
-            }
             // Remap the occupancy mask from `index()` bit positions to
             // `Direction::ALL` order (W,E,N,S,Ramp) so the loop visits only
             // occupied ports while preserving the reference port order.
@@ -1552,12 +1714,13 @@ impl DenseState {
         }
 
         // Commit: pop the source (the head wavelet is already in hand)…
-        self.pop_source(i, port, pb, qb);
+        self.pop_source(i, port, pb, qb, fabric.cycle);
 
         // …forward…
         *out_used |= 1 << di;
         if di == RAMP_INDEX {
             self.down_push(i, now_plus_ramp(fabric), w);
+            self.wake(i, fabric.cycle + 1);
             self.ramp_wavelets += 1;
         } else {
             if dest_qb == u32::MAX {
@@ -1578,7 +1741,7 @@ impl DenseState {
             }
             self.inbuf_wavelets += 1;
             self.port_load[dest_pb] += 1;
-            self.port_mask[dest_pb >> 2] |= 1 << (dest_pb & 3);
+            self.port_fill(dest_pb >> 2, dest_pb & 3);
             fabric.energy_hops += 1;
             fabric.link_load[i][di] += 1;
         }
@@ -1626,13 +1789,14 @@ impl DenseState {
             }
         }
 
-        self.pop_source(i, port, pb, qb);
+        self.pop_source(i, port, pb, qb, fabric.cycle);
         self.advance_cursor(fabric, i, si, slot_rel, advance_never, w.control);
 
         for d in forward.iter() {
             *out_used |= 1 << d.index();
             if d == Direction::Ramp {
                 self.down_push(i, now_plus_ramp(fabric), w);
+                self.wake(i, fabric.cycle + 1);
                 self.ramp_wavelets += 1;
             } else {
                 let ni = self.nbr[i][d.index()] as usize;
@@ -1640,7 +1804,7 @@ impl DenseState {
                 self.ib_push(ni, p2, fabric.cycle, w);
                 self.inbuf_wavelets += 1;
                 self.port_load[ni * 4 + p2] += 1;
-                self.port_mask[ni] |= 1 << p2;
+                self.port_fill(ni, p2);
                 fabric.energy_hops += 1;
                 fabric.link_load[i][d.index()] += 1;
             }
@@ -1649,14 +1813,16 @@ impl DenseState {
     }
 
     /// Pop the routed wavelet off its source (up ring or mesh queue `qb` of
-    /// port `pb`), clearing the port's occupancy bit when it empties.
+    /// port `pb`), clearing the port's occupancy bit when it empties and
+    /// waking a lane parked on the full up ring.
     #[inline]
-    fn pop_source(&mut self, i: usize, port: Direction, pb: usize, qb: usize) {
+    fn pop_source(&mut self, i: usize, port: Direction, pb: usize, qb: usize, now: u64) {
         if port == Direction::Ramp {
             self.ramp_wavelets -= 1;
             self.up_pop(i);
+            self.wake(i, now + 1);
             if self.ramp[i].up_len == 0 {
-                self.port_mask[i] &= !(1 << RAMP_INDEX);
+                self.port_drain(i, RAMP_INDEX);
             }
         } else {
             self.inbuf_wavelets -= 1;
@@ -1666,7 +1832,7 @@ impl DenseState {
             self.ib_full[qb >> 6] &= !(1 << (qb & 63));
             self.port_load[pb] -= 1;
             if self.port_load[pb] == 0 {
-                self.port_mask[i] &= !(1 << port.index());
+                self.port_drain(i, port.index());
             }
         }
     }
@@ -1941,6 +2107,94 @@ mod tests {
         }
     }
 
+    fn visits() -> (u64, u64) {
+        (super::LANE_VISITS.with(|c| c.get()), super::ROUTER_VISITS.with(|c| c.get()))
+    }
+
+    #[test]
+    fn a_lane_parked_and_woken_in_one_cycle_is_credited_once() {
+        // A 2-PE message with T_R = 2: the wavelet sent at cycle 0 reaches
+        // the receiver's down ring in the routing pass of cycle 3. Three
+        // pending no-ops keep the receiver busy through cycle 2, so its first
+        // stall — on an empty down ring, which parks it — is in cycle 3, the
+        // very cycle the router's push wakes it again. That stall must be
+        // counted once (by the parking cohort, nothing by the wake), and the
+        // lane must be back in the stepped set for cycle 4 (head maturing)
+        // and cycle 5 (consume).
+        let run = |engine: EngineKind, threshold: u32| {
+            let params = FabricParams::default().with_engine(engine);
+            let mut fabric = Fabric::new(GridDim::row(2), params.with_dense_threshold(threshold));
+            configure_message(&mut fabric, 2, 1);
+            fabric.pes[0].inject_noops(3);
+            let report = fabric.run().expect("message run succeeds");
+            (report, fabric.pe_stats(Coord::new(0, 0)))
+        };
+        let (lanes_before, _) = visits();
+        let (report, receiver) = run(EngineKind::Fast, 0);
+        let (lanes_after, _) = visits();
+        assert_eq!((report.clone(), receiver), run(EngineKind::Reference, 101));
+        assert_eq!((receiver.noop_cycles, receiver.stall_cycles), (3, 2));
+        assert_eq!(report.finish_of(0), 5);
+        // The sender's one step plus the receiver's cycles 0..=5, each once.
+        assert_eq!(lanes_after - lanes_before, 7);
+    }
+
+    #[test]
+    fn waiting_pes_and_empty_routers_are_not_visited() {
+        // A 32x32 flood Broadcast of 8 elements from the north-west corner:
+        // a wavefront crossing a fabric of blocked receivers. The gear must
+        // visit the lanes and routers the wavefront touches, not the waiters
+        // (before parking, lane visits equalled PE-steps and router visits
+        // were cycles x PEs).
+        let dim = GridDim::new(32, 32);
+        let (b, color) = (8u32, Color::new(0));
+        let build = |fabric: &mut Fabric| {
+            for at in dim.iter() {
+                let mut forward = DirectionSet::EMPTY;
+                if at.y == 0 && at.x + 1 < dim.width {
+                    forward = forward.with(Direction::East);
+                }
+                if at.y + 1 < dim.height {
+                    forward = forward.with(Direction::South);
+                }
+                let mut program = PeProgram::new();
+                let accept_from = if at == Coord::new(0, 0) {
+                    program.send(color, 0, b);
+                    fabric.set_local(at, &(0..b).map(|i| i as f32 + 0.5).collect::<Vec<_>>());
+                    Direction::Ramp
+                } else {
+                    program.recv_store(color, 0, b);
+                    forward = forward.with(Direction::Ramp);
+                    if at.y == 0 {
+                        Direction::West
+                    } else {
+                        Direction::North
+                    }
+                };
+                fabric.set_program(at, &program);
+                let rule = RouteRule::counted(accept_from, forward, b as u64);
+                fabric.set_router_script(at, color, ColorScript::new(vec![rule]));
+            }
+        };
+        let (lanes_before, routers_before) = visits();
+        let report = assert_dense_agrees(build, dim, FabricParams::default(), None)
+            .expect("broadcast succeeds");
+        let (lanes_after, routers_after) = visits();
+
+        let pes = dim.num_pes() as u64;
+        let received = (pes - 1) * b as u64;
+        let pe_steps = report.stall_cycles + received + b as u64;
+        assert!(report.stall_cycles > 4 * received, "the fabric must be mostly waiting");
+        let (lane_visits, router_visits) =
+            (lanes_after - lanes_before, routers_after - routers_before);
+        assert!(lane_visits < pe_steps / 4, "{lane_visits} lane visits for {pe_steps} PE-steps");
+        assert!(
+            router_visits < report.cycles * pes / 4,
+            "{router_visits} router visits in {} cycles x {pes} PEs",
+            report.cycles
+        );
+    }
+
     #[test]
     fn dense_engages_on_dense_workloads_by_default() {
         // Every PE of a 2-PE row is programmed: 100% density, above the
@@ -1981,47 +2235,55 @@ mod tests {
 
         // A long idle stretch at low density *does* hand back: one message
         // crawling up a 40-cycle ramp while the other five PEs are done is
-        // exactly the gap the event-driven loop skips over.
+        // exactly the gap the event-driven loop skips over. The receiver is
+        // parked when that happens, so the hand-back is what credits its
+        // stalls: the report must still equal the reference engine's.
         let handed = super::segments_handed_back();
-        let mut fabric = Fabric::new(GridDim::row(6), FabricParams::with_ramp_latency(40));
-        let color = Color::new(0);
-        let mut sender = PeProgram::new();
-        sender.send(color, 0, 1);
-        fabric.set_program(Coord::new(1, 0), &sender);
-        fabric.set_local(Coord::new(1, 0), &[7.5]);
-        fabric.set_router_script(
-            Coord::new(1, 0),
-            color,
-            ColorScript::new(vec![RouteRule::forever(
-                Direction::Ramp,
-                DirectionSet::single(Direction::West),
-            )]),
-        );
-        let mut receiver = PeProgram::new();
-        receiver.recv_store(color, 0, 1);
-        fabric.set_program(Coord::new(0, 0), &receiver);
-        fabric.set_local(Coord::new(0, 0), &[0.0]);
-        fabric.set_router_script(
-            Coord::new(0, 0),
-            color,
-            ColorScript::new(vec![RouteRule::forever(
-                Direction::East,
-                DirectionSet::single(Direction::Ramp),
-            )]),
-        );
-        // Two computing PEs push the initial working density over the 40%
-        // entry bar.
-        for x in 2..4 {
-            let mut prog = PeProgram::new();
-            prog.compute(2);
-            fabric.set_program(Coord::new(x, 0), &prog);
-        }
-        fabric.run().expect("ramp-latency message run succeeds");
-        assert_eq!(fabric.local(Coord::new(0, 0)), &[7.5]);
+        let run_ramp_message = |engine: EngineKind| {
+            let params = FabricParams::with_ramp_latency(40).with_engine(engine);
+            let mut fabric = Fabric::new(GridDim::row(6), params);
+            let color = Color::new(0);
+            let mut sender = PeProgram::new();
+            sender.send(color, 0, 1);
+            fabric.set_program(Coord::new(1, 0), &sender);
+            fabric.set_local(Coord::new(1, 0), &[7.5]);
+            fabric.set_router_script(
+                Coord::new(1, 0),
+                color,
+                ColorScript::new(vec![RouteRule::forever(
+                    Direction::Ramp,
+                    DirectionSet::single(Direction::West),
+                )]),
+            );
+            let mut receiver = PeProgram::new();
+            receiver.recv_store(color, 0, 1);
+            fabric.set_program(Coord::new(0, 0), &receiver);
+            fabric.set_local(Coord::new(0, 0), &[0.0]);
+            fabric.set_router_script(
+                Coord::new(0, 0),
+                color,
+                ColorScript::new(vec![RouteRule::forever(
+                    Direction::East,
+                    DirectionSet::single(Direction::Ramp),
+                )]),
+            );
+            // Two computing PEs push the initial working density over the 40%
+            // entry bar.
+            for x in 2..4 {
+                let mut prog = PeProgram::new();
+                prog.compute(2);
+                fabric.set_program(Coord::new(x, 0), &prog);
+            }
+            let report = fabric.run().expect("ramp-latency message run succeeds");
+            assert_eq!(fabric.local(Coord::new(0, 0)), &[7.5]);
+            report
+        };
+        let report = run_ramp_message(EngineKind::Fast);
         assert!(
             super::segments_handed_back() > handed,
             "an idle stretch at low density must hand back to the event-driven loop"
         );
+        assert_eq!(report, run_ramp_message(EngineKind::Reference));
 
         // And the same workload under the *default* threshold (not forced):
         // the default fast engine must agree with the reference too.

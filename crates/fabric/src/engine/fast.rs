@@ -1,4 +1,4 @@
-//! The event-driven fast engine: active sets plus skip-ahead.
+//! The event-driven gear of the fast engine: active sets plus skip-ahead.
 //!
 //! Observably byte-identical to the reference stepper (see the
 //! [equivalence contract](super)); it gets its speed from two sources:
@@ -28,12 +28,15 @@
 //! machinery still applies (sampling touches all PEs, stepping and routing
 //! only active ones).
 //!
-//! When most PEs are busy at once, neither trick pays — there is nothing to
-//! skip and the active sets cover the whole grid. The run loop then hands
-//! whole segments of the simulation to the struct-of-arrays executor of
-//! [`super::dense`], re-entering the event-driven loop when density drops
-//! (see [the dense regime](super) and
-//! [`super::FabricParams::dense_threshold_pct`]).
+//! This loop carries a run only while the PEs that still have instructions
+//! to execute are fewer than [`super::FabricParams::dense_threshold_pct`] of
+//! the grid: a short message across a mostly unprogrammed fabric, or the
+//! tail of a collective. Above that share — which a whole-grid collective
+//! reaches at cycle 0 however few of its PEs are busy, since a PE blocked in
+//! a receive is unfinished too — the run loop hands whole segments to the
+//! struct-of-arrays executor of [`super::dense`], which parks waiting PEs
+//! itself, and resumes here when that executor goes idle at low density (see
+//! [the dense regime](super)).
 
 use super::{dense, Fabric, FabricError, RunReport};
 use crate::pe::Wake;

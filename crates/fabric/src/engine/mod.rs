@@ -24,22 +24,28 @@
 //! not they hold work. It is deliberately simple — its loop *is* the
 //! semantics above — and stays the correctness oracle.
 //!
-//! [`EngineKind::Fast`], the default, visits only the PEs whose programs
-//! have not finished and the routers that actually hold wavelets (an
-//! *active set* maintained incrementally as wavelets move), and when the
-//! earliest future event — a ramp-latency maturation or an inbuf head
-//! becoming visible — is more than one cycle away it advances the clock in
-//! one jump instead of idling through the gap. On large grids with sparse
-//! traffic this removes almost all per-cycle work.
+//! [`EngineKind::Fast`], the default, has two gears, and which one runs is
+//! decided by how much of the grid holds an unfinished program — not by how
+//! busy those programs are. Whenever the PEs that are unfinished *and still
+//! have program instructions* make up at least
+//! [`FabricParams::dense_threshold_pct`] of the grid (default 40%), the
+//! struct-of-arrays gear of `engine/dense.rs` runs. A collective programs
+//! every PE it spans, and a PE blocked in a `Recv` is as unfinished as one
+//! streaming data, so this is where whole-grid collectives run from cycle 0 —
+//! the all-busy 2D reduces and the wavefronts (a broadcast crossing a 96x96
+//! grid, a chain reduce down a 512-PE line) alike; every workload of the
+//! repository's benchmark does. The event-driven loop of `engine/fast.rs`
+//! runs otherwise: a short message across a mostly unprogrammed grid, or a
+//! tail the other gear hands back. It keeps *active sets* — only unfinished
+//! PEs are stepped and only routers that hold wavelets are routed,
+//! maintained incrementally as wavelets move — and when the earliest future
+//! event (a ramp-latency maturation or an inbuf head becoming visible) is
+//! more than one cycle away it advances the clock in one jump instead of
+//! idling through the gap.
 //!
 //! # The dense regime
 //!
-//! Active sets and skip-ahead buy nothing when nearly every PE is busy —
-//! exactly the regime of the paper's dense collectives. For that case the
-//! fast engine owns a second gear (`engine/dense.rs`): when the fraction of
-//! PEs that are unfinished *and still have program instructions* reaches
-//! [`FabricParams::dense_threshold_pct`] (default 40%), the run switches to
-//! a lane-batched executor that moves the hot per-PE state (program
+//! The gear of `engine/dense.rs` moves the hot per-PE state (program
 //! counters, progress, ramp FIFOs, routing cursors) into struct-of-arrays
 //! mirrors, steps cohorts of PEs executing the same instruction kind in
 //! tight loops, applies [`crate::program::ReduceOp`]s through the chunked
@@ -48,24 +54,42 @@
 //! port's visible head wavelet (turning the per-event chain of dependent
 //! loads into independent, overlappable ones) and a commit pass that moves
 //! them through per-rule destination caches and an L1-resident full-queue
-//! bitset instead of per-wavelet linear scans. The executor hands control
-//! back to the event-driven loop only when a cycle makes no progress while
-//! the live-lane density has dropped below *half* the entry threshold: a
-//! flowing pipeline is cheaper to step here regardless of density, but an
-//! idle cycle at low density is exactly what skip-ahead exists for. A run
-//! may alternate between the two gears any number of times. Setting the
-//! knob above 100 disables the dense path, 0 forces it from the first cycle
-//! (and, since the density clause then never fires, pins the whole run to
-//! it).
+//! bitset instead of per-wavelet linear scans.
+//!
+//! It steps every cycle but visits only what can act. A lane whose stall
+//! only a router move can end — a `Send` on a full up ring, a receive on an
+//! empty down ring — is **parked**: it leaves the live-lane bitset the plan
+//! pass walks and is put back by one of three wake sources, the router's push
+//! onto its down ring, the router's pop of its up ring, or a noise no-op
+//! drawn for it. Its stalls are credited lazily, `wake - parked_since`, and
+//! every exit of the gear (completion, cycle limit, deadlock, hand-back, a
+//! cycle abandoned to the scalar replay, a routing error) first credits the
+//! lanes still parked through exactly the cycle the reference engine has
+//! stepped them through — the rule per exit is spelled out in the module docs
+//! of `engine/dense.rs`. A lane waiting for a queued head to mature is a
+//! timed wait and stays live. The routing pass likewise walks a bitset of
+//! the routers that hold wavelets. Both walks are ascending: for routers
+//! that is the reference's order and part of the semantics, for lanes it
+//! keeps the mirrors streaming through the cache in memory order.
+//!
+//! The executor hands control back to the event-driven loop only when a
+//! cycle makes no progress while the unfinished-lane density (live plus
+//! parked) has dropped below *half* the entry threshold: a flowing pipeline
+//! is cheaper to step here regardless of density, but an idle cycle at low
+//! density is exactly what skip-ahead exists for. A run may alternate
+//! between the two gears any number of times. Setting the knob above 100
+//! disables the dense path, 0 forces it from the first cycle (and, since the
+//! density clause then never fires, pins the whole run to it).
 //!
 //! Dense stepping makes no skip-ahead jumps and is therefore also used
 //! under a noise model. Byte-identity is preserved by construction: PE
 //! phase-1 steps of one cycle are mutually independent (so cohort order does
-//! not matter), routing replays the reference's exact ascending router /
-//! port / fairness order against the mirrored state, and any cycle in which
-//! a lane *would* raise a program error is abandoned before mutation and
-//! replayed through the scalar [`crate::pe::PeState::step`] path, which
-//! reproduces the reference's first-erroring-PE precedence exactly.
+//! not matter), a parked lane is one whose step is provably a stall, routing
+//! replays the reference's exact ascending router / port / fairness order
+//! against the mirrored state, and any cycle in which a lane *would* raise a
+//! program error is abandoned before mutation and replayed through the
+//! scalar [`crate::pe::PeState::step`] path, which reproduces the
+//! reference's first-erroring-PE precedence exactly.
 //!
 //! # Equivalence contract
 //!
@@ -180,8 +204,9 @@ const DEADLOCK_PATIENCE: u64 = 16;
 /// byte-identical; see the [module docs](self) for the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Event-driven engine: visits only PEs/routers with pending work and
-    /// skips the clock ahead over event-free gaps. The default.
+    /// Visits only the PEs and routers that can act — parked lanes in the
+    /// struct-of-arrays gear, active sets and clock skip-ahead in the
+    /// event-driven one (see the [module docs](self)). The default.
     #[default]
     Fast,
     /// Exhaustive cycle-stepper: visits every PE and every router port every

@@ -134,7 +134,12 @@ impl PeState {
 
     /// Install the program, resizing local memory to fit its accesses.
     pub fn set_program(&mut self, program: &PeProgram) {
-        self.program = program.instructions().to_vec();
+        // `reset` keeps the cleared buffer: a reused PE reinstalls in place.
+        // A first install is sized exactly — amortised growth would round a
+        // one-instruction program up to four slots on each of ~10^4 PEs.
+        self.program.clear();
+        self.program.reserve_exact(program.instructions().len());
+        self.program.extend_from_slice(program.instructions());
         self.pc = 0;
         self.progress = 0;
         self.progress_alt = 0;
